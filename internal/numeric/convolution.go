@@ -11,14 +11,28 @@ func ConvolveDirect(a, b []float64) []float64 {
 	return convolveDirectInto(make([]float64, len(a)+len(b)-1), a, b)
 }
 
+// simdRowMin is the shortest row, len(b), that convolveDirectInto hands
+// to the AVX2 kernel. Shorter rows stay in the Go loop: on 2000-row
+// shapes the kernel call costs more than its vector arithmetic saves
+// below 8 points and wins from 8 on.
+const simdRowMin = 8
+
 // convolveDirectInto writes the full convolution into out, which must
 // have length len(a)+len(b)-1 (its prior contents are overwritten).
+// Each nonzero a[i] adds the row a[i]*b into out[i:i+len(b)], in order
+// of increasing i; the AVX2 row kernel performs the same multiply and
+// add per element as the Go loop, so both paths give the same bits.
 func convolveDirectInto(out, a, b []float64) []float64 {
 	for i := range out {
 		out[i] = 0
 	}
+	simd := useAVX2 && len(b) >= simdRowMin
 	for i, av := range a {
 		if av == 0 { //reprovet:allow floateq sparse skip of exactly-zero mass bins; near-zero bins must still convolve
+			continue
+		}
+		if simd {
+			convRowAVX2(out[i:i+len(b)], av, b)
 			continue
 		}
 		for j, bv := range b {
@@ -147,13 +161,15 @@ func convolveOverlapAddInto(out, signal, kernel []float64, blockSize int, ws *Co
 	return out
 }
 
-// directKernelMax is the largest "short side" for which the direct
-// algorithm beats the FFT strategies. The makespan evaluation's hot
-// shape — a work grid of thousands of points convolved with a narrow
-// duration or communication kernel of a few dozen — sits far below it
-// (measured: direct wins up to ~128-point kernels against overlap-add
-// on 8192-point signals), and the direct sum is exact, so the cutoff
-// also removes FFT round-off from the narrow-kernel path.
+// directKernelMax is the largest "short side" that takes the direct
+// algorithm. The makespan evaluation's hot shape — a work grid of
+// thousands of points convolved with a narrow duration or communication
+// kernel of a few dozen — sits far below it, and the direct sum is
+// exact, so the cutoff also keeps FFT round-off off the narrow-kernel
+// path. The cutoff stays where it is, even though the AVX2 row kernel
+// makes direct cheaper, because it decides which algorithm, and so which
+// bits, each shape gets: moving it changes results and would need a
+// cache-key version bump.
 const directKernelMax = 96
 
 // Convolve picks a convolution strategy based on operand sizes: direct
