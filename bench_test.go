@@ -6,7 +6,9 @@ package repro
 // BenchmarkKernel*). Run: go test -bench=. -benchmem
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/experiment"
@@ -194,6 +196,107 @@ func BenchmarkNumericAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x.Add(y, 64)
 	}
+}
+
+// --- Wide Add: windowed kernel vs global fit ------------------------------
+//
+// The reference Add kernel's hot shape: a sum of many durations (wide)
+// plus one more duration (narrow), on the 8193-knot work grid of the
+// reference accuracy. BenchmarkAddWide runs stochastic.Ops.AddAcc, which
+// convolves and solves the spline only in windows around the 64 output
+// samples; BenchmarkAddWideReference runs the same operand upsampling,
+// then the full convolution and the global spline fit the windows
+// replaced. cmd/benchguard compares the pair in CI (-series '^AddWide').
+
+// addWideOperands returns a wide and a narrow 64-point density whose sum
+// runs on an 8193-knot work grid at the reference accuracy.
+func addWideOperands() (wide, narrow *stochastic.Numeric) {
+	return stochastic.FromDist(stochastic.NewBetaUL(2064, 1.1), 64),
+		stochastic.FromDist(stochastic.NewBetaUL(15.2, 1.1), 64)
+}
+
+// addWideKnots is the length of the work grid addWideOperands convolve
+// on: both operands resampled at the capped step, less one shared knot.
+const addWideKnots = 8193
+
+func BenchmarkAddWide(b *testing.B) {
+	wide, narrow := addWideOperands()
+	acc := stochastic.EvalAccuracy{GridSize: 64}
+	b.Run("N="+itoa(addWideKnots), func(b *testing.B) {
+		var ops stochastic.Ops
+		for b.Loop() {
+			ops.Recycle(ops.AddAcc(wide, narrow, acc))
+		}
+	})
+}
+
+func BenchmarkAddWideReference(b *testing.B) {
+	wide, narrow := addWideOperands()
+	acc := stochastic.EvalAccuracy{GridSize: 64}.Canon()
+	b.Run("N="+itoa(addWideKnots), func(b *testing.B) {
+		var g addGlobal
+		out := make([]float64, acc.GridSize)
+		for b.Loop() {
+			if n := g.add(out, wide, narrow, acc.WorkGrid); n != addWideKnots {
+				b.Fatalf("work grid has %d knots, want %d", n, addWideKnots)
+			}
+		}
+	})
+}
+
+// addGlobal is the Add kernel before the windowed solve: the full
+// convolution of the upsampled operands, a natural spline fitted over
+// all of it, resampled at the output grid. Its scratch is reused across
+// calls, as stochastic.Ops reuses its own.
+type addGlobal struct {
+	conv          numeric.ConvScratch
+	spline        numeric.SplineScratch
+	sp            numeric.Spline
+	xs, pa, pb, c []float64
+}
+
+// upsample resamples rv onto step h over its support, as the Add kernel
+// does, into dst.
+func (g *addGlobal) upsample(dst *[]float64, rv *stochastic.Numeric, h float64) []float64 {
+	n := max(int(math.Round((rv.Hi()-rv.Lo())/h))+1, 2)
+	if err := g.sp.Fit(rv.XGrid(), rv.PDFGrid(), &g.spline); err != nil {
+		panic(err)
+	}
+	g.sp.SetExtrapolateZero(true)
+	*dst = g.sp.ResampleInto(slices.Grow((*dst)[:0], n)[:n], rv.Lo(), rv.Hi())
+	for i, v := range *dst {
+		if v < 0 {
+			(*dst)[i] = 0
+		}
+	}
+	return *dst
+}
+
+// add writes the 64-point density of a+b into out and returns the
+// number of convolution knots.
+func (g *addGlobal) add(out []float64, a, b *stochastic.Numeric, workGrid int) int {
+	lo, hi := a.Lo()+b.Lo(), a.Hi()+b.Hi()
+	h := math.Min(a.Step(), b.Step())
+	if w := hi - lo; w/h > float64(workGrid) {
+		h = w / float64(workGrid)
+	}
+	pa, pb := g.upsample(&g.pa, a, h), g.upsample(&g.pb, b, h)
+	n := len(pa) + len(pb) - 1
+	g.c = slices.Grow(g.c[:0], n)[:n]
+	conv := numeric.ConvolveInto(g.c, pa, pb, &g.conv)
+	for i := range conv {
+		conv[i] *= h
+		if conv[i] < 0 {
+			conv[i] = 0
+		}
+	}
+	g.xs = numeric.LinspaceInto(slices.Grow(g.xs[:0], n)[:n], lo, lo+float64(n-1)*h)
+	if err := g.sp.Fit(g.xs, conv, &g.spline); err != nil {
+		panic(err)
+	}
+	g.sp.SetExtrapolateZero(true)
+	g.sp.ResampleInto(out, lo, hi)
+	return n
 }
 
 // --- Scheduling benches ----------------------------------------------------

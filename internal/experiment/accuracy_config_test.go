@@ -35,7 +35,7 @@ func TestConfigEvalAccuracyValue(t *testing.T) {
 }
 
 // Accuracy spellings that resolve to the reference resampling policy
-// must keep emitting the pre-accuracy (v3) cache keys — introducing the
+// must keep emitting the pre-accuracy cache keys — introducing the
 // knob must not invalidate caches written before it existed.
 func TestEvalAccuracyCacheKeyStability(t *testing.T) {
 	spec := CaseSpec{Name: "k", Family: RandomFamily, N: 10, M: 3, UL: 1.1, Seed: 7}
@@ -53,7 +53,7 @@ func TestEvalAccuracyCacheKeyStability(t *testing.T) {
 			t.Fatal(err)
 		}
 		if key != ref {
-			t.Errorf("EvalAccuracy=%q must emit the canonical v3 key", spelled)
+			t.Errorf("EvalAccuracy=%q must emit the canonical reference key", spelled)
 		}
 	}
 
@@ -75,7 +75,7 @@ func TestEvalAccuracyCacheKeyStability(t *testing.T) {
 		t.Error("grid=48 must change the key and agree with GridSize=48")
 	}
 
-	// Non-reference resampling policies namespace into v4 keys.
+	// Non-reference resampling policies namespace into their own keys.
 	seen := map[string]string{"": ref}
 	for _, preset := range []string{"fast", "coarse"} {
 		cfg := base

@@ -47,14 +47,18 @@ type RunOptions struct {
 // workload by the registered family name (a stable string) instead of
 // the old iota-valued GraphKind, whose integer hash silently aliased
 // cache entries across families whenever the enum was reordered or
-// grew in the middle.
-const caseCacheVersion = "repro/case/v3"
+// grew in the middle. v5: the Add kernel solves the spline of a sum
+// whose work grid exceeds about 4.2k knots in windows around the output
+// samples, which moves tail samples in their last bits (metrics by at
+// most 1e-12 relative).
+const caseCacheVersion = "repro/case/v5"
 
 // caseCacheVersionAcc tags entries computed under a non-reference
 // resampling policy (EvalAccuracy with a tightened work-grid cap). The
-// reference policy keeps emitting v3 keys, so the accuracy knob's
-// default never invalidates caches written before it existed.
-const caseCacheVersionAcc = "repro/case/v4"
+// reference policy keeps emitting its own keys, so the accuracy knob's
+// default never invalidates caches written before it existed. v6 (from
+// v4) follows the windowed Add kernel of v5.
+const caseCacheVersionAcc = "repro/case/v6"
 
 // CaseCacheKey derives the disk-cache key of a case: a hash of the
 // full spec (workload family by stable name) and every configuration
@@ -68,8 +72,9 @@ const caseCacheVersionAcc = "repro/case/v4"
 // spelling a default out explicitly never invalidates a cache. The
 // evaluation accuracy follows the same rule: any spelling that resolves
 // to the reference resampling policy hashes exactly like the
-// pre-accuracy configs (v3, grid size only), while a tightened
-// work-grid cap moves to v4 keys that include the cap.
+// pre-accuracy configs (caseCacheVersion, grid size only), while a
+// tightened work-grid cap moves to caseCacheVersionAcc keys that include
+// the cap.
 //
 //reprovet:cachekey CaseSpec
 //reprovet:cachekey Config -exempt MCRealizations,Workers,Seed,CaseTimeout,MaxRetries,DegradeOnTimeout

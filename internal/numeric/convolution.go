@@ -8,45 +8,112 @@ func ConvolveDirect(a, b []float64) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	return convolveDirectInto(make([]float64, len(a)+len(b)-1), a, b)
+	return convolveDirectInto(make([]float64, len(a)+len(b)-1), a, b, &ConvScratch{})
 }
-
-// simdRowMin is the shortest row, len(b), that convolveDirectInto hands
-// to the AVX2 kernel. Shorter rows stay in the Go loop: on 2000-row
-// shapes the kernel call costs more than its vector arithmetic saves
-// below 8 points and wins from 8 on.
-const simdRowMin = 8
 
 // convolveDirectInto writes the full convolution into out, which must
 // have length len(a)+len(b)-1 (its prior contents are overwritten).
-// Each nonzero a[i] adds the row a[i]*b into out[i:i+len(b)], in order
-// of increasing i; the AVX2 row kernel performs the same multiply and
-// add per element as the Go loop, so both paths give the same bits.
-func convolveDirectInto(out, a, b []float64) []float64 {
+func convolveDirectInto(out, a, b []float64, ws *ConvScratch) []float64 {
+	return convolveWindowInto(out, 0, a, b, ws.gatherKernel(b), &ws.tmp)
+}
+
+// convolveWindowInto writes into out the direct-convolution values at
+// indices k0, ..., k0+len(out)-1. Every value is the sum of a[i]*b[k-i]
+// over the nonzero a[i] in order of increasing i, so it has the same
+// bits whichever window it is computed in. With bz, b padded by
+// padKernel, the AVX2 gather kernel computes it; without, or when a
+// holds an infinite or NaN value, the row scatter does. Both give the
+// same bits.
+func convolveWindowInto(out []float64, k0 int, a, b, bz []float64, tmp *[16]float64) []float64 {
+	if bz != nil && convolveGatherInto(out, k0, a, bz, tmp) {
+		return out
+	}
+	return scatterWindowInto(out, k0, a, b)
+}
+
+// scatterWindowInto is convolveWindowInto by rows: each nonzero a[i]
+// adds the row a[i]*b, clipped to the window, in order of increasing i.
+// It is the portable path, and the AVX2 one for operands the gather
+// kernel refuses.
+func scatterWindowInto(out []float64, k0 int, a, b []float64) []float64 {
 	for i := range out {
 		out[i] = 0
 	}
-	simd := useAVX2 && len(b) >= simdRowMin
-	for i, av := range a {
+	k1 := k0 + len(out)
+	for i := max(0, k0-len(b)+1); i < min(len(a), k1); i++ {
+		av := a[i]
 		if av == 0 { //reprovet:allow floateq sparse skip of exactly-zero mass bins; near-zero bins must still convolve
 			continue
 		}
-		if simd {
-			convRowAVX2(out[i:i+len(b)], av, b)
-			continue
-		}
-		for j, bv := range b {
-			out[i+j] += av * bv
+		jlo, jhi := max(0, k0-i), min(len(b), k1-i)
+		row := out[i+jlo-k0 : i+jhi-k0]
+		for j, bv := range b[jlo:jhi] {
+			row[j] += av * bv
 		}
 	}
 	return out
 }
 
-// ConvScratch holds the FFT work arrays of the convolution routines so
-// hot loops can convolve without allocating. The zero value is ready to
-// use.
+// gatherPad is the number of zeros on each side of the kernel copy that
+// convolveGatherInto reads: a group of sixteen outputs reaches fifteen
+// places past either end of the kernel.
+const gatherPad = 15
+
+// padKernel returns b between gatherPad zeros, in dst's storage, or nil
+// when b holds an infinite or NaN value.
+func padKernel(dst *[]float64, b []float64) []float64 {
+	bz := growFloats(dst, len(b)+2*gatherPad)
+	clear(bz[:gatherPad])
+	finite := true
+	for i, v := range b {
+		bz[gatherPad+i] = v
+		finite = finite && v-v == 0 //reprovet:allow floateq v-v is exactly 0 for every finite v and NaN otherwise
+	}
+	clear(bz[gatherPad+len(b):])
+	if !finite {
+		return nil
+	}
+	return bz
+}
+
+// convolveGatherInto is convolveWindowInto on the AVX2 gather kernel:
+// sixteen outputs at a time, each summed in a register over increasing
+// i, so no output is stored and reloaded per row. bz is b padded by
+// padKernel, so finite. The kernel adds every term, a zero a[i] and the
+// padding included: such a term is ±0, and adding ±0 leaves a sum that
+// started at +0 as it is, bit for bit. So each output is bit-identical
+// to the row scatter's, which skips zero a[i], provided a is finite too:
+// with an infinite or NaN a[i] a padding term would be NaN, so the
+// kernel refuses it, and convolveGatherInto reports false with out
+// partly written.
+func convolveGatherInto(out []float64, k0 int, a, bz []float64, tmp *[16]float64) bool {
+	lb := len(bz) - 2*gatherPad
+	for k := k0; k < k0+len(out); k += 16 {
+		i0, i1 := max(0, k-lb+1), min(len(a)-1, k+15)
+		if !convGather16AVX2(tmp[:], a[i0:i1+1], bz[gatherPad+k-i1:gatherPad+k-i0+16]) {
+			return false
+		}
+		copy(out[k-k0:], tmp[:])
+	}
+	return true
+}
+
+// ConvScratch holds the FFT work arrays of the convolution routines and
+// the padded kernel of the direct gather, so hot loops can convolve
+// without allocating. The zero value is ready to use.
 type ConvScratch struct {
 	are, aim, bre, bim []float64
+	bz                 []float64   // the kernel between gatherPad zeros
+	tmp                [16]float64 // one gather group's outputs
+}
+
+// gatherKernel returns b padded for the AVX2 gather kernel, in ws's
+// storage, or nil where the CPU lacks AVX2 or b is not finite.
+func (ws *ConvScratch) gatherKernel(b []float64) []float64 {
+	if !useAVX2 {
+		return nil
+	}
+	return padKernel(&ws.bz, b)
 }
 
 func (ws *ConvScratch) grow(n int) (are, aim, bre, bim []float64) {
@@ -166,11 +233,21 @@ func convolveOverlapAddInto(out, signal, kernel []float64, blockSize int, ws *Co
 // thousands of points convolved with a narrow duration or communication
 // kernel of a few dozen — sits far below it, and the direct sum is
 // exact, so the cutoff also keeps FFT round-off off the narrow-kernel
-// path. The cutoff stays where it is, even though the AVX2 row kernel
-// makes direct cheaper, because it decides which algorithm, and so which
-// bits, each shape gets: moving it changes results and would need a
-// cache-key version bump.
+// path. The cutoff stays where it is, even though the AVX2 kernels make
+// direct cheaper, because it decides which algorithm, and so which bits,
+// each shape gets: moving it changes results and would need a cache-key
+// version bump. How a direct value is computed does not: the row
+// scatter, the register-blocked gather and the windowed evaluation of
+// ConvolveResampleInto, which computes only the outputs near its
+// samples, all read the same bits per output, so each gives every
+// output the bits of the full direct sum.
 const directKernelMax = 96
+
+// directShape reports whether ConvolveInto convolves an la×lb shape
+// directly.
+func directShape(la, lb int) bool {
+	return la <= directKernelMax || lb <= directKernelMax || la*lb <= 4096
+}
 
 // Convolve picks a convolution strategy based on operand sizes: direct
 // when either operand is short or the product is small (the direct sum
@@ -193,8 +270,8 @@ func ConvolveInto(out, a, b []float64, ws *ConvScratch) []float64 {
 	switch {
 	case la == 0 || lb == 0:
 		return nil
-	case la <= directKernelMax || lb <= directKernelMax || la*lb <= 4096:
-		return convolveDirectInto(out, a, b)
+	case directShape(la, lb):
+		return convolveDirectInto(out, a, b, ws)
 	case la >= 8*lb || lb >= 8*la:
 		return convolveOverlapAddInto(out, a, b, 0, ws)
 	default:

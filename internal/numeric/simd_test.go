@@ -148,7 +148,7 @@ func convOperand(rng *rand.Rand, n int, specials bool) []float64 {
 func checkConvolveDirect(t *testing.T, a, b []float64) {
 	t.Helper()
 	n := len(a) + len(b) - 1
-	got := convolveDirectInto(make([]float64, n), a, b)
+	got := convolveDirectInto(make([]float64, n), a, b, &ConvScratch{})
 	want := convolveDirectIntoRef(make([]float64, n), a, b)
 	if i := sameBits(got, want); i >= 0 {
 		t.Fatalf("%d×%d: direct convolution diverges at %d: %x != %x",
@@ -156,9 +156,10 @@ func checkConvolveDirect(t *testing.T, a, b []float64) {
 	}
 }
 
-// The direct convolution, whose rows of eight or more run on the AVX2
-// kernel where the CPU has it, must match the scalar loop bit for bit
-// on every shape and value class, in both operand orientations.
+// The direct convolution, which runs on the AVX2 gather kernel where
+// the CPU has it and both operands are finite, must match the scalar
+// loop bit for bit on every shape and value class, in both operand
+// orientations.
 func TestConvolveDirectMatchesScalarLoop(t *testing.T) {
 	t.Logf("AVX2 kernels in use: %v", useAVX2)
 	rng := rand.New(rand.NewSource(11))
@@ -323,8 +324,9 @@ func BenchmarkConvolveDirect(b *testing.B) {
 			x := splineValues(rng, sh[0], true)
 			k := splineValues(rng, sh[1], true)
 			out := make([]float64, sh[0]+sh[1]-1)
+			var ws ConvScratch
 			for b.Loop() {
-				benchSink = convolveDirectInto(out, x, k)
+				benchSink = convolveDirectInto(out, x, k, &ws)
 			}
 		})
 	}

@@ -71,39 +71,52 @@ func (s *Spline) fit(x, y []float64, ws *SplineScratch, copyKnots bool) error {
 		s.m = make([]float64, n)
 	}
 	s.m = s.m[:n]
-	if n == 2 {
-		s.m[0], s.m[1] = 0, 0 // linear segment; second derivatives stay zero
-		return nil
-	}
-	// Solve the tridiagonal system for natural boundary conditions
-	// (m[0] = m[n-1] = 0) with the Thomas algorithm: row i is
-	// hi*m[i-1] + 2(hi+hi1)*m[i] + hi1*m[i+1] = d[i], the boundary rows
-	// are m = 0. Each row is set up and eliminated in one pass, with the
-	// previous row's pivot, c and d carried in registers so the serial
-	// division chain never waits on memory. The arithmetic, boundary
-	// rows included, is that of the textbook set-up loop followed by the
-	// forward sweep.
 	b, c, d := ws.grow(n)
+	solveNatural(x, y, s.m, b, c, d)
+	return nil
+}
+
+// solveNatural writes into m the second derivatives of the natural
+// cubic spline through (x[i], y[i]), using b, c and d (each as long as
+// x) for the Thomas pivots, super-diagonal and right side.
+//
+// Row i of the tridiagonal system is
+// hi*m[i-1] + 2(hi+hi1)*m[i] + hi1*m[i+1] = d[i]; the boundary rows are
+// m = 0. Each row is set up and eliminated in one pass, with the
+// previous row's pivot, c and d and its slope (y[i+1]-y[i])/hi1 carried
+// in registers so the serial division chain never waits on memory. The
+// arithmetic, boundary rows included, is that of the textbook set-up
+// loop followed by the forward sweep.
+func solveNatural(x, y, m, b, c, d []float64) {
+	n := len(x)
+	if n <= 2 {
+		for i := range m[:n] {
+			m[i] = 0 // a point or a linear segment; second derivatives stay zero
+		}
+		return
+	}
+	x, y, m, b, c, d = x[:n], y[:n], m[:n], b[:n], c[:n], d[:n]
 	bp, cp, dp := 1.0, 0.0, 0.0 // row 0
 	b[0], c[0], d[0] = bp, cp, dp
+	hi := x[1] - x[0]
+	s0 := (y[1] - y[0]) / hi
 	for i := 1; i < n-1; i++ {
-		hi := x[i] - x[i-1]
 		hi1 := x[i+1] - x[i]
+		s1 := (y[i+1] - y[i]) / hi1
 		w := hi / bp
 		bp = 2*(hi+hi1) - w*cp
-		dp = 6*((y[i+1]-y[i])/hi1-(y[i]-y[i-1])/hi) - w*dp
+		dp = 6*(s1-s0) - w*dp
 		cp = hi1
 		b[i], c[i], d[i] = bp, cp, dp
+		hi, s0 = hi1, s1
 	}
 	w := 0 / bp // row n-1 has sub-diagonal 0, pivot 1 and right side 0
 	mi := (0 - w*dp) / (1 - w*cp)
-	m := s.m
 	m[n-1] = mi
 	for i := n - 2; i >= 0; i-- {
 		mi = (d[i] - c[i]*mi) / b[i]
 		m[i] = mi
 	}
-	return nil
 }
 
 // SetExtrapolateZero makes out-of-range evaluations return 0 instead of

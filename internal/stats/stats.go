@@ -14,9 +14,9 @@ import (
 	"repro/internal/stochastic"
 )
 
-// Pearson returns the Pearson correlation coefficient of xs and ys.
-// Degenerate inputs (length < 2, mismatched lengths, or zero variance)
-// return NaN.
+// Pearson returns the Pearson correlation coefficient of xs and ys,
+// clamped to [-1, 1]. Degenerate inputs (length < 2, mismatched
+// lengths, or zero variance) return NaN.
 func Pearson(xs, ys []float64) float64 {
 	n := len(xs)
 	if n != len(ys) || n < 2 {
@@ -33,7 +33,8 @@ func Pearson(xs, ys []float64) float64 {
 	if sxx == 0 || syy == 0 { //reprovet:allow floateq correlation is undefined only at exactly zero variance
 		return math.NaN()
 	}
-	return sxy / math.Sqrt(sxx*syy)
+	// Rounding can carry a perfect correlation past ±1 by an ulp.
+	return numeric.Clamp(sxy/math.Sqrt(sxx*syy), -1, 1)
 }
 
 // LinReg fits y = slope·x + intercept by least squares and returns the

@@ -23,6 +23,24 @@ func TestPearsonPerfectCorrelation(t *testing.T) {
 	}
 }
 
+// Perfectly correlated and anti-correlated columns whose rounding
+// carries the unclamped quotient to ±1.0000000000000002 must read
+// exactly ±1.
+func TestPearsonClampsRounding(t *testing.T) {
+	xs := []float64{0.1, 1.1, 1.5}
+	pos, neg := make([]float64, len(xs)), make([]float64, len(xs))
+	for i, x := range xs {
+		pos[i] = 0.9*x + 0.3
+		neg[i] = -0.9*x + 0.7
+	}
+	if r := Pearson(xs, pos); r != 1 {
+		t.Errorf("perfectly correlated columns: r = %.17g, want 1", r)
+	}
+	if r := Pearson(xs, neg); r != -1 {
+		t.Errorf("perfectly anti-correlated columns: r = %.17g, want -1", r)
+	}
+}
+
 func TestPearsonInvariances(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 100)

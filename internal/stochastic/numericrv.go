@@ -395,23 +395,11 @@ func (rv *Numeric) AddAcc(other *Numeric, acc EvalAccuracy) *Numeric {
 	}
 	pa := rv.resampleStep(h)
 	pb := other.resampleStep(h)
-	conv := numeric.Convolve(pa, pb)
-	for i := range conv {
-		conv[i] *= h
-		if conv[i] < 0 {
-			conv[i] = 0
-		}
-	}
-	// The convolution grid spans [lo, lo+(len-1)h]; resample onto the
-	// requested grid over the exact support.
-	convHi := lo + float64(len(conv)-1)*h
-	xs := numeric.Linspace(lo, convHi, len(conv))
-	sp, err := numeric.NewSpline(xs, conv)
+	pdf, err := numeric.ConvolveResampleInto(make([]float64, gridSize), pa, pb, h, lo, hi, &numeric.AddScratch{})
 	if err != nil {
 		return NewPoint((lo + hi) / 2)
 	}
-	sp.SetExtrapolateZero(true)
-	out := &Numeric{lo: lo, hi: hi, pdf: sp.Resample(lo, hi, gridSize)}
+	out := &Numeric{lo: lo, hi: hi, pdf: pdf}
 	out.clampNormalize()
 	return out
 }

@@ -19,14 +19,12 @@ import (
 // (shared) Numerics may be passed freely.
 type Ops struct {
 	spline numeric.SplineScratch
-	conv   numeric.ConvScratch
+	add    numeric.AddScratch
 	sp     numeric.Spline
 
 	knotXs []float64 // spline knot grid of the operand being fitted
 	gridXs []float64 // output evaluation grid (must outlive knotXs uses)
-	convXs []float64 // convolution knot grid
 	pa, pb []float64 // work-grid resamples of the two operands
-	cv     []float64 // convolution output
 	fa, fb []float64 // densities on the output grid
 	ca, cb []float64 // CDFs on the output grid
 	cum    []float64 // cumulative-integral scratch
@@ -156,22 +154,12 @@ func (o *Ops) AddAcc(a, b *Numeric, acc EvalAccuracy) *Numeric {
 	}
 	pa := o.resampleStepInto(&o.pa, a, h)
 	pb := o.resampleStepInto(&o.pb, b, h)
-	conv := numeric.ConvolveInto(grow(&o.cv, len(pa)+len(pb)-1), pa, pb, &o.conv)
-	for i := range conv {
-		conv[i] *= h
-		if conv[i] < 0 {
-			conv[i] = 0
-		}
-	}
-	// The convolution grid spans [lo, lo+(len-1)h]; resample onto the
-	// requested grid over the exact support.
-	convHi := lo + float64(len(conv)-1)*h
-	xs := linspaceInto(grow(&o.convXs, len(conv)), lo, convHi)
-	if err := o.sp.Fit(xs, conv, &o.spline); err != nil {
+	pdf, err := numeric.ConvolveResampleInto(o.getBuf(gridSize), pa, pb, h, lo, hi, &o.add)
+	if err != nil {
+		o.free = append(o.free, pdf)
 		return NewPoint((lo + hi) / 2)
 	}
-	o.sp.SetExtrapolateZero(true)
-	out := &Numeric{lo: lo, hi: hi, pdf: o.sp.ResampleInto(o.getBuf(gridSize), lo, hi)}
+	out := &Numeric{lo: lo, hi: hi, pdf: pdf}
 	out.clampNormalize()
 	return out
 }
